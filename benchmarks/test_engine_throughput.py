@@ -67,10 +67,6 @@ def test_engine_throughput_cold_warm_serial_parallel(tmp_path):
     n = len(named)
     cores = _effective_cores()
 
-    # The per-process IR2vec encoder is deliberately warmed outside the
-    # timers: it is a once-per-process cost, not corpus throughput.
-    IR2VecFeaturizer(IR2VecFeaturizerConfig()).warmup()
-
     serial_dir = tmp_path / "serial"
     parallel_dir = tmp_path / "parallel"
 

@@ -8,6 +8,10 @@ the *symbolic* encoding folds seed vectors over each instruction, and the
 control-flow edges.  Each encoding yields one 256-d vector per compilation
 unit; the paper concatenates both into the 512-d feature the decision tree
 consumes.
+
+Like IR2vec, the package ships its default (seed 42) seed table
+pretrained: :mod:`repro.embeddings.seedtable` holds the pin and its
+regeneration entry point.
 """
 
 from repro.embeddings.ir2vec import IR2VecEncoder, encode_module

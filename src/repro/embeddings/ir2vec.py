@@ -20,10 +20,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.embeddings.transe import SeedEmbeddings, train_seed_embeddings
+from repro.embeddings.transe import SeedEmbeddings
 from repro.embeddings.triplets import (
     abstract_type,
-    extract_triplets,
     instruction_entity,
     operand_entity,
 )
@@ -324,28 +323,22 @@ class IR2VecEncoder:
 _DEFAULT_ENCODERS: Dict[int, IR2VecEncoder] = {}
 
 
-def default_encoder(seed: int = 42, corpus: Optional[List[Module]] = None,
-                    dim: int = 256) -> IR2VecEncoder:
-    """Encoder with seed embeddings trained on a small canonical corpus.
+def default_encoder(seed: int = 42) -> IR2VecEncoder:
+    """Encoder over the default seed table for ``seed``, memoized.
 
-    IR2vec ships pretrained seed embeddings; we train ours once per seed
-    on a fixed mini-corpus of MPI kernels and cache the encoder.
+    IR2vec ships pretrained seed embeddings; so does this package for
+    seed 42 (:mod:`repro.embeddings.seedtable` loads the pin on the
+    first call).  Any other seed trains TransE on the canonical
+    mini-corpus once per process.
     """
-    if seed not in _DEFAULT_ENCODERS:
-        from repro.frontend import compile_c
+    encoder = _DEFAULT_ENCODERS.get(seed)
+    if encoder is None:
+        from repro.embeddings.seedtable import seed_table
 
-        if corpus is None:
-            from repro.datasets import load_mbi
-
-            samples = list(load_mbi())[::9][:160]
-            corpus = [compile_c(s.source, s.name, "O0") for s in samples]
-        triples = []
-        for module in corpus:
-            triples.extend(extract_triplets(module))
-        seeds = train_seed_embeddings(triples, dim=dim, seed=seed,
-                                      epochs=25, batch_size=8192)
-        _DEFAULT_ENCODERS[seed] = IR2VecEncoder(seeds)
-    return _DEFAULT_ENCODERS[seed]
+        with PERF.stage("seed_table"):
+            seeds = seed_table(seed)
+        encoder = _DEFAULT_ENCODERS[seed] = IR2VecEncoder(seeds)
+    return encoder
 
 
 def encode_module(module: Module, seed: int = 42) -> np.ndarray:

@@ -9,8 +9,11 @@ drop of a GA tuned on the original).
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -25,6 +28,18 @@ class SeedEmbeddings:
     entity_vectors: np.ndarray          # (n_entities, dim)
     relation_vectors: np.ndarray        # (n_relations, dim)
     unknown: np.ndarray                 # fallback vector
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 over the table's names (in index order) and float64
+        bytes: its identity for artifacts and cache keys, computed once."""
+        names = [sorted(self.entities, key=self.entities.__getitem__),
+                 sorted(self.relations, key=self.relations.__getitem__)]
+        h = hashlib.sha256(json.dumps([self.dim, names]).encode("utf-8"))
+        for array in (self.entity_vectors, self.relation_vectors,
+                      self.unknown):
+            h.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+        return h.hexdigest()
 
     def entity(self, name: str) -> np.ndarray:
         idx = self.entities.get(name)

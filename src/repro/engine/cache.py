@@ -32,6 +32,8 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 
 #: Bump to invalidate every persisted entry after a change to how any
 #: stage computes its results (the on-disk layout namespaces on it).
+#: A regenerated IR2vec seed table needs no bump: the featurizer's stage
+#: identity carries the table digest.
 ENGINE_CACHE_VERSION = "2"
 
 

@@ -112,15 +112,21 @@ def effective_cores() -> int:
 def stage_identity(stage: Any) -> str:
     """Stable identity of a stage instance for cache keys.
 
-    Covers the implementation (qualname + registered name) and the full
-    config repr, so two differently-parameterized instances never share
-    an entry.  Stages without a ``config`` attribute get ``id=None`` —
-    the engine treats those as uncacheable (see ``_cacheable``).
+    Covers the implementation (qualname + registered name), the full
+    config repr, and — for stages that encode through a seed table —
+    the table's digest, so two differently-parameterized instances never
+    share an entry and a regenerated table invalidates cached rows.
+    Stages without a ``config`` attribute get ``id=None`` — the engine
+    treats those as uncacheable (see ``_cacheable``).
     """
     config = getattr(stage, "config", None)
-    return (f"{type(stage).__qualname__}"
-            f":{getattr(stage, 'name', type(stage).__name__)}"
-            f":{config!r}")
+    identity = (f"{type(stage).__qualname__}"
+                f":{getattr(stage, 'name', type(stage).__name__)}"
+                f":{config!r}")
+    table_digest = getattr(stage, "table_digest", None)
+    if table_digest is not None:
+        identity += f":table={table_digest}"
+    return identity
 
 
 def _cacheable(stage: Any) -> bool:
@@ -647,11 +653,6 @@ class ExecutionEngine:
             payloads = self._stage_payloads(frontend, featurizer, chunks)
             if payloads is not None:
                 token, blobs = payloads
-                # Warm before every parallel run, not just pool creation:
-                # the executor spawns workers lazily, so processes forked
-                # by a *later* run (or after a featurizer change, e.g. a
-                # serving hot reload) still inherit the warm state.
-                self._warmup(featurizer)
                 state = _WorkerState(
                     token, frontend, featurizer, self.config.cache_dir,
                     self.store.version if self.store is not None else None,
@@ -731,6 +732,9 @@ class ExecutionEngine:
         """Identity of the worker-side state a pool must hold to run
         these stages (stage configs + store coordinates)."""
         version = self.store.version if self.store is not None else ""
+        # The featurizer's identity resolves its seed table, so this runs
+        # before every parallel run forks (lazily spawned) workers, and
+        # they inherit the table instead of each training it.
         return digest_parts([
             stage_identity(frontend),
             stage_identity(featurizer) if featurizer is not None else "",
@@ -821,13 +825,6 @@ class ExecutionEngine:
             if self._pool is pool:
                 self._pool = None
                 self._pool_token = None
-
-    def _warmup(self, featurizer: Optional[Any]) -> None:
-        """Build expensive per-process state (e.g. the IR2vec encoder)
-        before forking, so workers inherit it instead of rebuilding."""
-        warmup = getattr(featurizer, "warmup", None)
-        if callable(warmup):
-            warmup()
 
     def _mp_context(self):
         method = self.config.start_method

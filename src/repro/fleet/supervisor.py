@@ -65,6 +65,9 @@ class Replica:
     cache_dir: str
     log_path: str
     log_file: Optional[IO[bytes]] = field(default=None, repr=False)
+    #: Set once the replica has answered ``/healthz``; a respawned
+    #: process is alive well before it can serve.
+    ready: bool = False
 
     @property
     def alive(self) -> bool:
@@ -151,6 +154,7 @@ class ReplicaSupervisor:
                 try:
                     conn.request("GET", "/healthz")
                     if conn.getresponse().status == 200:
+                        replica.ready = True
                         return
                 finally:
                     conn.close()
@@ -229,7 +233,8 @@ class ReplicaSupervisor:
         return restarted
 
     def alive(self) -> List[Replica]:
-        return [r for r in self.replicas if r.alive]
+        """Replicas that are running and have answered ``/healthz``."""
+        return [r for r in self.replicas if r.alive and r.ready]
 
     def stop(self) -> None:
         for replica in self.replicas:

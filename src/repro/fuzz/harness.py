@@ -221,23 +221,12 @@ def _payloads(programs: Sequence[GeneratedProgram], config: FuzzConfig,
             for p in programs]
 
 
-def _warm_stages() -> None:
-    """Build the expensive per-process state (the IR2vec seed-embedding
-    table, ~10s) in the parent *before* the engine forks its pool, so
-    workers inherit it instead of each paying the build."""
-    from repro.embeddings.ir2vec import default_encoder
-
-    default_encoder()
-
-
 def replay_corpus(store: CorpusStore, config: FuzzConfig,
                   engine: Optional[ExecutionEngine] = None,
                   ) -> List[Dict[str, Any]]:
     """Re-check every stored case against its recorded signature."""
     engine = engine or default_engine()
     cases = store.cases()
-    if cases and engine.workers > 0:
-        _warm_stages()
     payloads = [(c.name, c.source, c.expected, config.nprocs,
                  config.max_steps) for c in cases]
     records = engine.map(_check_worker, payloads,
@@ -321,8 +310,6 @@ def run_campaign(config: FuzzConfig,
         seeds.extend(extra_seeds)
     generated = generate_programs(config.grammar(), config.budget)
     programs = seeds + generated
-    if programs and engine.workers > 0:
-        _warm_stages()
     records = engine.map(_check_worker, _payloads(programs, config),
                          chunk_size=config.chunk_size)
 

@@ -2,7 +2,8 @@
 
 The cold path is a chain — preprocess/parse/codegen ("compile"), IR
 verification ("verify"), the optimization pipeline ("passes"), program
-graph construction ("graph"), IR2vec encoding ("embed") and model
+graph construction ("graph"), resolving the IR2vec seed table once per
+process ("seed_table"), IR2vec encoding ("embed") and model
 fit/predict ("classify") — and optimization work on it is only honest
 when every claim is backed by a per-stage number.  This module is that
 number's source of truth:
@@ -34,7 +35,8 @@ from typing import Any, Dict, List, Optional
 #: Canonical stage names, in pipeline order.  Instrumentation sites may
 #: only use names from this tuple so profiles stay comparable across
 #: runs and versions.
-STAGES = ("compile", "verify", "passes", "graph", "embed", "classify")
+STAGES = ("compile", "verify", "passes", "graph", "seed_table", "embed",
+          "classify")
 
 SCHEMA_VERSION = 1
 
@@ -236,8 +238,7 @@ def collect_profile(dataset_name: str, samples: List[Any],
     """Run the cold pipeline over ``samples`` under :data:`PERF` and
     return the profile document (not yet written to disk).
 
-    One-time per-process warmup (IR2vec seed-embedding training) and
-    in-process memo state are handled outside the timed window, so the
+    In-process memo state is cleared before the timed window, so the
     numbers reflect steady-state cold throughput: every sample is
     compiled, optimized, and embedded from scratch.  With a serial
     engine the per-stage totals are disjoint slices of the instrumented
@@ -261,7 +262,6 @@ def collect_profile(dataset_name: str, samples: List[Any],
         featurizer: Any = ProGraMLFeaturizer(opt_level=opt_level)
     else:
         featurizer = IR2VecFeaturizer(opt_level=opt_level)
-        featurizer.warmup()          # per-process cost, not throughput
     labels = [getattr(s, "label", "unknown") for s in samples]
 
     clear_caches()                   # cold run: no in-process memo hits

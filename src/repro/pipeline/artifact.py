@@ -11,6 +11,9 @@ The manifest records everything needed to rebuild the pipeline from the
 stage registries — no code objects are pickled wholesale, so artifacts
 survive refactors of the facade classes and unknown/corrupt inputs fail
 with a diagnosable :class:`ArtifactError` instead of an unpickling crash.
+A stage that encodes through a seed table (the IR2vec featurizer) also
+records the table's digest, and loading it in a process that resolves a
+different table raises :class:`ArtifactError` naming both digests.
 
 Legacy raw-pickle detectors (the pre-pipeline ``pickle.dump(detector)``
 format) are detected by magic bytes and rejected with a
@@ -66,7 +69,11 @@ def _stage_manifest(stage: Any) -> Dict[str, Any]:
         config = dataclasses.asdict(config)
     elif config is None:
         config = {}
-    return {"name": stage.name, "config": config}
+    entry = {"name": stage.name, "config": config}
+    table_digest = getattr(stage, "table_digest", None)
+    if table_digest is not None:
+        entry["table_digest"] = table_digest
+    return entry
 
 
 def build_manifest(pipeline: DetectionPipeline) -> Dict[str, Any]:
@@ -258,6 +265,22 @@ def inspect_artifact(path: str) -> Dict[str, Any]:
     }
 
 
+def _check_table_binding(role: str, stage: Any,
+                         entry: Dict[str, Any]) -> None:
+    """A stage fitted against one embedding table must not run against
+    another: the features under its classifier would silently change."""
+    recorded = entry.get("table_digest")
+    if recorded is None:            # no table, or saved before binding
+        return
+    current = stage.table_digest
+    if current != recorded:
+        raise ArtifactError(
+            f"artifact's {role} {entry['name']!r} was saved against seed "
+            f"table {recorded}, but this process resolves table "
+            f"{current} for config {entry.get('config')}; retrain the "
+            "artifact or restore the table it was built with")
+
+
 def load_pipeline(path: str) -> DetectionPipeline:
     """Rebuild a :class:`DetectionPipeline` from a saved artifact."""
     manifest, read_blob = _open_container(path)
@@ -286,6 +309,7 @@ def load_pipeline(path: str) -> DetectionPipeline:
                     f"artifact is missing blob {blob_name!r} referenced "
                     f"by its {role} stage") from None
             set_state(blob)
+        _check_table_binding(role, stage, entry)
         stages[role] = stage
 
     try:

@@ -198,20 +198,21 @@ class IR2VecFeaturizer:
     def seed(self) -> int:
         return self.config.seed
 
-    def warmup(self) -> None:
-        """Build the per-process encoder (seed-embedding training) now.
+    @property
+    def table_digest(self) -> str:
+        """Digest of the seed table this process resolves for the seed.
 
-        The execution engine calls this before forking workers so they
-        inherit the trained encoder instead of each rebuilding it.
-        """
+        Pipeline artifacts record it and engine cache keys include it,
+        so features never silently mix two tables."""
+        return self._encoder().seeds.digest
+
+    def _encoder(self):
         from repro.embeddings.ir2vec import default_encoder
 
-        default_encoder(self.config.seed)
+        return default_encoder(self.config.seed)
 
     def transform(self, modules: Sequence[Module]) -> np.ndarray:
-        from repro.embeddings.ir2vec import default_encoder
-
-        encoder = default_encoder(self.config.seed)
+        encoder = self._encoder()
         if not modules:
             return np.zeros((0, 2 * encoder.dim))
         return encoder.encode_batch(list(modules))

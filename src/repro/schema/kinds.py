@@ -3,8 +3,9 @@
 One :class:`~repro.schema.envelope.KindSpec` per persisted artifact the
 project ships: the evaluation matrix (``EVAL_matrix.json``), the fuzz
 campaign report (``FUZZ_report.json``), the perf profile
-(``PERF_profile.json``), and the pipeline-artifact manifest
-(``manifest.json``).  Importing this module registers them all; the
+(``PERF_profile.json``), the pipeline-artifact manifest
+(``manifest.json``), and the pinned IR2vec seed table
+(``seed_table_42.json``).  Importing this module registers them all; the
 legacy modules (:mod:`repro.eval.schema`, :mod:`repro.fuzz.report`,
 :mod:`repro.perf`, :mod:`repro.pipeline.artifact`) re-export their old
 names as thin shims over this registry.
@@ -378,3 +379,80 @@ PIPELINE_MANIFEST = register_kind(KindSpec(
     name="repro.detection-pipeline", schema_version=1,
     flat_schema=MANIFEST_SCHEMA, check=_check_manifest,
     kind_key="format"))
+
+
+# ---------------------------------------------------------------------------
+# repro-seed-embeddings (the pinned IR2vec seed table)
+# ---------------------------------------------------------------------------
+
+_STRINGS = {"type": "array", "items": {"type": "string"}}
+
+SEED_TABLE_SCHEMA = {
+    "type": "object",
+    "required": ["kind", "schema_version", "key", "numpy_version",
+                 "dim", "entities", "relations",
+                 "entity_vectors", "relation_vectors", "unknown"],
+    "properties": {
+        "kind": {"const": "repro-seed-embeddings"},
+        "schema_version": {"const": 1},
+        "key": {
+            "type": "object",
+            "required": ["corpus_digest", "corpus_size", "transe"],
+            "properties": {
+                "corpus_digest": {"type": "string"},
+                "corpus_size": {"type": "integer"},
+                "transe": {
+                    "type": "object",
+                    "required": ["dim", "seed", "epochs", "batch_size",
+                                 "margin", "lr"],
+                    "properties": {
+                        "dim": {"type": "integer"},
+                        "seed": {"type": "integer"},
+                        "epochs": {"type": "integer"},
+                        "batch_size": {"type": "integer"},
+                        "margin": {"type": "number"},
+                        "lr": {"type": "number"},
+                    },
+                },
+            },
+        },
+        "numpy_version": {"type": "string"},
+        "dim": {"type": "integer"},
+        "entities": _STRINGS,
+        "relations": _STRINGS,
+        # The vectors are checked by _check_seed_table: a per-float walk
+        # through the generic validator would dominate the load.
+        "entity_vectors": {"type": "array"},
+        "relation_vectors": {"type": "array"},
+        "unknown": {"type": "array"},
+    },
+}
+
+
+def _check_seed_table(doc: Mapping[str, Any]) -> None:
+    dim = doc["dim"]
+
+    def check_rows(key: str, rows: Any, n: int) -> None:
+        if len(rows) != n:
+            raise SchemaError(f"$.{key}", f"expected {n} rows, "
+                                          f"got {len(rows)}")
+        for i, row in enumerate(rows):
+            if (not isinstance(row, list) or len(row) != dim
+                    or not all(type(x) is float for x in row)):
+                raise SchemaError(f"$.{key}[{i}]",
+                                  f"expected {dim} floats")
+
+    check_rows("entity_vectors", doc["entity_vectors"],
+               len(doc["entities"]))
+    check_rows("relation_vectors", doc["relation_vectors"],
+               len(doc["relations"]))
+    check_rows("unknown", [doc["unknown"]], 1)
+    if doc["key"]["transe"]["dim"] != dim:
+        raise SchemaError("$.dim", f"table dim {dim} differs from the "
+                                   f"TransE config's "
+                                   f"{doc['key']['transe']['dim']}")
+
+
+SEED_TABLE = register_kind(KindSpec(
+    name="repro-seed-embeddings", schema_version=1,
+    flat_schema=SEED_TABLE_SCHEMA, check=_check_seed_table))

@@ -62,17 +62,35 @@ def test_parallel_graphs_identical_to_serial():
 
 
 def test_parallel_embeddings_byte_identical_to_serial():
-    named = _named_sources(6)
-    fe = CFrontend(CFrontendConfig(opt_level="Os"))
-    feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
-    X_serial = ExecutionEngine(EngineConfig(workers=0)) \
-        .featurize_sources(fe, feat, named)
-    X_parallel = ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
-                                                min_samples_per_worker=1)) \
-        .featurize_sources(fe, feat, named)
+    X_serial = _featurize_seed(42, workers=0)
+    X_parallel = _featurize_seed(42, workers=2)
     assert X_serial.shape == X_parallel.shape == (6, 512)
     assert X_serial.dtype == X_parallel.dtype
     assert X_serial.tobytes() == X_parallel.tobytes()
+
+
+def test_parallel_embeddings_of_a_trained_table_match_serial(monkeypatch):
+    """Seed 1337 has no pinned table: the parent trains it while building
+    the pool's stage token, before any worker forks, so workers inherit
+    it."""
+    from repro.embeddings import ir2vec
+
+    monkeypatch.delitem(ir2vec._DEFAULT_ENCODERS, 1337, raising=False)
+    X_parallel = _featurize_seed(1337, workers=2)
+    assert 1337 in ir2vec._DEFAULT_ENCODERS
+    X_serial = _featurize_seed(1337, workers=0)
+    assert X_serial.shape == X_parallel.shape == (6, 512)
+    assert X_serial.tobytes() == X_parallel.tobytes()
+
+
+def _featurize_seed(seed, workers):
+    engine = ExecutionEngine(EngineConfig(workers=workers, chunk_size=2,
+                                          min_samples_per_worker=1))
+    with engine:
+        return engine.featurize_sources(
+            CFrontend(CFrontendConfig(opt_level="Os")),
+            IR2VecFeaturizer(IR2VecFeaturizerConfig(seed=seed)),
+            _named_sources(6))
 
 
 def test_compile_sources_order_preserved_across_chunkings():
@@ -472,3 +490,30 @@ def test_map_chunk_size_validation_and_uneven_tail():
         # 5 items over chunks of 3 -> a full chunk plus a tail of 2.
         assert engine.map(len, ["a", "bb", "c", "dd", "e"],
                           chunk_size=3) == [1, 2, 1, 2, 1]
+
+
+def test_feature_cache_key_follows_the_seed_table(tmp_path, monkeypatch):
+    """The IR2vec feature-cache key (and the pool stage token, built from
+    the same stage identity) includes the table digest: same table, same
+    key; another table, another key."""
+    from repro.embeddings import ir2vec
+    from repro.embeddings.transe import train_seed_embeddings
+    from repro.engine import ContentStore
+    from repro.engine.engine import _feature_parts
+
+    store = ContentStore(str(tmp_path))
+    frontend = CFrontend(CFrontendConfig())
+
+    def key():
+        featurizer = IR2VecFeaturizer(IR2VecFeaturizerConfig())
+        return store.key("features", _feature_parts(
+            frontend, featurizer, "a.c", _TEMPLATE))
+
+    pinned = key()
+    assert key() == pinned
+    other = train_seed_embeddings([("call:MPI_Send", "Arg", "constant")],
+                                  dim=8, seed=1, epochs=2)
+    monkeypatch.setitem(ir2vec._DEFAULT_ENCODERS, 42,
+                        ir2vec.IR2VecEncoder(other))
+    assert key() != pinned
+    assert key() == key()

@@ -95,3 +95,15 @@ def test_fleet_config_validation_and_env(monkeypatch):
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
         assert FleetConfig.from_env().replicas == 2   # malformed → default
+
+
+def test_supervisor_counts_only_ready_replicas_alive():
+    """A respawned process is running before it can serve; health and
+    fan-out must not count it until it has answered /healthz."""
+    from repro.fleet.supervisor import ReplicaSupervisor
+
+    supervisor = ReplicaSupervisor("model.rpd", FleetConfig(), "cas:0")
+    supervisor.replicas = _replicas(3)
+    supervisor.replicas[0].ready = True
+    supervisor.replicas[2].ready = True
+    assert [r.index for r in supervisor.alive()] == [0, 2]

@@ -84,6 +84,43 @@ def test_manifest_contents(fitted, tmp_path):
     assert os.path.exists(os.path.join(path, blob))
 
 
+def _other_table_encoder():
+    """An encoder over a table that is not the seed-42 pin."""
+    from repro.embeddings.ir2vec import IR2VecEncoder
+    from repro.embeddings.transe import train_seed_embeddings
+
+    triples = [("call:MPI_Send", "Arg", "constant"),
+               ("call:MPI_Send", "TypeOf", "i32Ty")]
+    return IR2VecEncoder(train_seed_embeddings(triples, dim=8, seed=1,
+                                               epochs=2))
+
+
+def test_manifest_binds_the_seed_table(fitted, tmp_path, monkeypatch):
+    """An IR2vec artifact records its table digest and refuses to load
+    where the seed resolves to another table; a GNN one is unbound."""
+    from repro.embeddings import ir2vec
+
+    path = str(tmp_path / "model.rpd")
+    save_pipeline(fitted, path)
+    with open(os.path.join(path, MANIFEST_NAME)) as fh:
+        entry = json.load(fh)["payload"]["stages"]["featurizer"]
+    other = _other_table_encoder()
+    monkeypatch.setitem(ir2vec._DEFAULT_ENCODERS, 42, other)
+    if entry["name"] == "ir2vec":
+        assert entry["table_digest"] != other.seeds.digest
+        with pytest.raises(ArtifactError) as excinfo:
+            load_pipeline(path)
+        assert entry["table_digest"] in str(excinfo.value)
+        assert other.seeds.digest in str(excinfo.value)
+        monkeypatch.undo()
+        assert entry["table_digest"] == \
+            ir2vec.default_encoder(42).seeds.digest
+        assert load_pipeline(path).fitted
+    else:
+        assert "table_digest" not in entry
+        assert load_pipeline(path).fitted
+
+
 def test_missing_artifact_errors():
     with pytest.raises(ArtifactError, match="no pipeline artifact"):
         load_pipeline("/nonexistent/model.rpd")
